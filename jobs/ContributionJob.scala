@@ -9,11 +9,12 @@ import repro.pipeline.Pipeline
   * to each region's observed food pairing.
   *
   * Usage: spark-submit --class repro.jobs.ContributionJob repro.jar [scale] [nRand]
+  * The signs come from Fig 4 at nRand = 100000, as in the paper.
   */
 object ContributionJob {
   def main(args: Array[String]): Unit = {
     val scale = args.headOption.map(_.toDouble).getOrElse(1.0)
-    val nRand = args.lift(1).map(_.toInt).getOrElse(20000)
+    val nRand = args.lift(1).map(_.toInt).getOrElse(100000)
     val spark = SparkSession.builder.appName("contribution").getOrCreate()
     val p = Pipeline.get(spark, scale)
 

@@ -24,7 +24,7 @@ object FoodPairingJob {
     println(Experiments.fmtTable(
       Seq("Region", "Ns_real", "Z_random", "Z_frequency", "Z_category", "Z_freq_cat"),
       Experiments.Table1Order.map { reg =>
-        def z(m: String) = f"${byKey((reg, m)).z}%.1f"
+        def z(m: String) = Experiments.fmtZ(byKey((reg, m)).z)
         Seq(reg, f"${byKey((reg, "random")).nsReal}%.3f",
             z("random"), z("frequency"), z("category"), z("freq_category"))
       }))

@@ -29,7 +29,10 @@ object SmokeJob {
     val rows = Experiments.foodPairing(p, nRand,
       regions = Vector("ITA", "USA", "SCND", "KOR", "AFR", "EE"))
     println(s"pairing in ${(System.nanoTime() - t1) / 1e9} s")
-    rows.foreach(r => println(f"${r.region}%-5s ${r.model}%-14s nsReal=${r.nsReal}%.3f nsRand=${r.nsRand}%.3f z=${r.z}%8.1f"))
+    println(Experiments.fmtTable(
+      Seq("Region", "Model", "Ns_real", "Ns_rand", "Z"),
+      rows.map(r => Seq(r.region, r.model, f"${r.nsReal}%.3f", f"${r.nsRand}%.3f",
+                        Experiments.fmtZ(r.z)))))
     spark.stop()
   }
 }

@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
+import repro.flavor.FlavorUniverse
+
 /** Food pairing scores (Methodology IV.B).
   *
   * For a recipe R with n ingredients,
@@ -13,6 +15,10 @@ import org.apache.spark.sql.functions._
   * explosion via a self-join, overlap lookup via a (broadcast) left join
   * against the pairwise shared-molecule table, then per-recipe and
   * per-cuisine aggregation.
+  *
+  * [[denseCuisineScore]] is the driver kernel of the same two steps for
+  * cuisines already held on the driver (the Fig-4 null models); the Spark
+  * operator is the reference it is tested against.
   */
 object FoodPairing {
 
@@ -64,4 +70,47 @@ object FoodPairing {
         stddev_pop("score").as("sigma"),
         count(lit(1)).as("n_recipes"),
       )
+
+  /** A cuisine's N_s^C, the population σ of its recipe scores, and the
+    * number of recipes scored.
+    */
+  final case class CuisineScore(ns: Double, sigma: Double, n: Long)
+
+  /** [[cuisineScores]] of [[recipeScores]] on the driver, for one cuisine
+    * held as primitive arrays: recipe r is the distinct ingredient ids
+    * `ings(offsets(r))` until `ings(offsets(r + 1))`. Each pair's shared
+    * count is read from the dense `u.overlap` matrix. Recipes with n < 2 are
+    * dropped, as in [[recipeScores]]; σ is computed in a second pass over
+    * the recipe scores. With no recipe left, N_s^C and σ are NaN.
+    */
+  def denseCuisineScore(u: FlavorUniverse, offsets: Array[Int], ings: Array[Int]): CuisineScore = {
+    val overlap = u.overlap
+    val size = u.size
+    val scores = new Array[Double](offsets.length - 1)
+    var kept = 0
+    var sum = 0.0
+    var r = 0
+    while (r < scores.length) {
+      val from = offsets(r); val until = offsets(r + 1)
+      val n = until - from
+      if (n >= 2) {
+        var shared = 0L
+        var i = from
+        while (i < until) {
+          val row = ings(i) * size
+          var j = i + 1
+          while (j < until) { shared += overlap(row + ings(j)); j += 1 }
+          i += 1
+        }
+        val score = 2.0 * shared / (n.toLong * (n - 1))
+        scores(kept) = score; sum += score; kept += 1
+      }
+      r += 1
+    }
+    val mean = sum / kept
+    var sq = 0.0
+    var k = 0
+    while (k < kept) { val d = scores(k) - mean; sq += d * d; k += 1 }
+    CuisineScore(mean, math.sqrt(sq / kept), kept.toLong)
+  }
 }

@@ -3,8 +3,10 @@ package repro.core
 import scala.collection.mutable
 import scala.util.Random
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+
+import repro.flavor.FlavorUniverse
 
 /** The four randomized-cuisine null models (Methodology IV.B).
   *
@@ -19,9 +21,11 @@ import org.apache.spark.sql.functions._
   *                    ∝ frequency within each category.
   *
   * Sampling runs on the driver (seeded, deterministic) from cuisine
-  * statistics collected via DataFrame aggregations; the sampled cuisine is
-  * returned as a DataFrame so it is scored by exactly the same Spark
-  * operator as the real cuisine ([[FoodPairing.recipeScores]]).
+  * statistics collected via DataFrame aggregations, into primitive arrays
+  * ([[draw]]). Fig 4 scores those arrays on the driver against the dense
+  * overlap matrix ([[nullScore]]); [[sample]] wraps the same draws into a
+  * DataFrame for the Spark operator ([[FoodPairing.recipeScores]]), the
+  * reference the driver kernel is tested against.
   */
 object RandomModels {
 
@@ -33,7 +37,10 @@ object RandomModels {
   val AllModels: Vector[Model] = Vector(RandomUniform, Frequency, Category, FrequencyCategory)
 
   /** Everything a sampler needs about one cuisine, extracted via Spark.
-    * Arrays `ingredients`, `frequencies`, `categories` are aligned.
+    * Arrays `ingredients`, `frequencies`, `categories` are aligned and sorted
+    * by ingredient id; recipes are in recipe-id order, each recipe's
+    * categories in ingredient-id order, so the profile does not depend on
+    * the order Spark returns rows in.
     */
   final case class CuisineProfile(
       region: String,
@@ -44,38 +51,57 @@ object RandomModels {
       recipeCategories: Array[Array[String]],
   )
 
-  /** Collect the per-cuisine statistics the models must preserve.
+  /** Collect the per-cuisine statistics the models must preserve, for every
+    * requested region, from one grouped collect.
     *
     * @param recipes     (region, recipe_id, ing_id), any number of regions
     * @param ingredients (ing_id, category, ...) lookup table
     */
-  def profile(spark: SparkSession, region: String, recipes: DataFrame,
-              ingredients: DataFrame): CuisineProfile = {
-    val rows = recipes.filter(col("region") === region)
-      .select("recipe_id", "ing_id").distinct()
+  def profiles(spark: SparkSession, recipes: DataFrame, ingredients: DataFrame,
+               regions: Seq[String]): Map[String, CuisineProfile] = {
+    val byRegion = recipes.filter(col("region").isin(regions: _*))
+      .select("region", "recipe_id", "ing_id").distinct()
       .join(broadcast(ingredients.select("ing_id", "category")), "ing_id")
-      .select("recipe_id", "ing_id", "category")
+      .select("region", "recipe_id", "ing_id", "category")
       .collect()
+      .groupBy(_.getString(0))
+    regions.map(region => region -> profileOf(region, byRegion.getOrElse(region, Array.empty))).toMap
+  }
 
+  /** One region's profile; see [[profiles]]. */
+  def profile(spark: SparkSession, region: String, recipes: DataFrame,
+              ingredients: DataFrame): CuisineProfile =
+    profiles(spark, recipes, ingredients, Seq(region))(region)
+
+  /** @param rows (region, recipe_id, ing_id, category), distinct */
+  private def profileOf(region: String, rows: Array[Row]): CuisineProfile = {
     val freq = mutable.HashMap.empty[Int, Long].withDefaultValue(0L)
     val catOf = mutable.HashMap.empty[Int, String]
-    val byRecipe = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Int, String)]]
+    val byRecipe = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Int]]
     rows.foreach { r =>
-      val rid = r.getLong(0); val ing = r.getInt(1); val cat = r.getString(2)
+      val rid = r.getLong(1); val ing = r.getInt(2)
       freq(ing) += 1
-      catOf(ing) = cat
-      byRecipe.getOrElseUpdate(rid, mutable.ArrayBuffer.empty) += ((ing, cat))
+      catOf(ing) = r.getString(3)
+      byRecipe.getOrElseUpdate(rid, mutable.ArrayBuffer.empty) += ing
     }
     val ings = freq.keys.toArray.sorted
-    val recipesArr = byRecipe.toArray.sortBy(_._1).map(_._2)
+    val recipesArr = byRecipe.toArray.sortBy(_._1).map(_._2.toArray.sorted)
     CuisineProfile(
       region,
       ings,
       ings.map(freq),
       ings.map(catOf),
-      recipesArr.map(_.size),
-      recipesArr.map(_.map(_._2).toArray),
+      recipesArr.map(_.length),
+      recipesArr.map(_.map(catOf)),
     )
+  }
+
+  /** A sampled cuisine in primitive arrays: recipe r is the distinct
+    * ingredient ids `ings(offsets(r))` until `ings(offsets(r + 1))`, in
+    * draw order.
+    */
+  final case class SampledCuisine(offsets: Array[Int], ings: Array[Int]) {
+    def nRecipes: Int = offsets.length - 1
   }
 
   /** Generate `nRecipes` random recipes under `model` and return them as a
@@ -88,31 +114,59 @@ object RandomModels {
     rows.toDF("region", "recipe_id", "ing_id")
   }
 
-  /** Driver-side sampling; exposed for tests. */
+  /** The draws of [[draw]] as (region@model, recipe_id, ing_id) rows. */
   def sampleRows(prof: CuisineProfile, model: Model, nRecipes: Int,
                  seed: Long = 11L): Vector[(String, Long, Int)] = {
+    val s = draw(prof, model, nRecipes, seed)
+    val label = s"${prof.region}@${model.name}"
+    (0 until s.nRecipes).iterator.flatMap { r =>
+      (s.offsets(r) until s.offsets(r + 1)).iterator.map(k => (label, r.toLong, s.ings(k)))
+    }.toVector
+  }
+
+  /** Fig-4 kernel for one (region, model) stream: N_s^rand, σ_rand and the
+    * realised nRand of `nRecipes` recipes drawn as in [[draw]], scored on the
+    * driver by [[FoodPairing.denseCuisineScore]].
+    */
+  def nullScore(u: FlavorUniverse, prof: CuisineProfile, model: Model, nRecipes: Int,
+                seed: Long = 11L): FoodPairing.CuisineScore = {
+    val s = draw(prof, model, nRecipes, seed)
+    FoodPairing.denseCuisineScore(u, s.offsets, s.ings)
+  }
+
+  /** Driver-side sampling: the one sampler behind [[sampleRows]],
+    * [[sample]] and [[nullScore]]. Deterministic per (region, model, seed).
+    */
+  def draw(prof: CuisineProfile, model: Model, nRecipes: Int,
+           seed: Long = 11L): SampledCuisine = {
     val rng = new Random(seed * 7919L + prof.region.hashCode * 31L + model.name.hashCode)
     val n = prof.ingredients.length
-    val label = s"${prof.region}@${model.name}"
 
     val cumFreq = prof.frequencies.map(_.toDouble).scanLeft(0.0)(_ + _).tail
-    val catIdx: Map[String, Array[Int]] = {
-      val m = mutable.HashMap.empty[String, mutable.ArrayBuffer[Int]]
-      prof.ingredients.indices.foreach(i =>
-        m.getOrElseUpdate(prof.categories(i), mutable.ArrayBuffer.empty) += i)
-      m.view.mapValues(_.toArray).toMap
+    val catNames = prof.categories.distinct
+    val catIdx: Array[Array[Int]] =
+      catNames.map(c => prof.ingredients.indices.filter(prof.categories(_) == c).toArray)
+    val catCumFreq: Array[Array[Double]] =
+      catIdx.map(idx => idx.map(prof.frequencies(_).toDouble).scanLeft(0.0)(_ + _).tail)
+    val templateCats: Array[Array[Int]] = {
+      val catNo = catNames.zipWithIndex.toMap
+      prof.recipeCategories.map(_.map(catNo))
     }
-    val catCumFreq: Map[String, Array[Double]] =
-      catIdx.view.mapValues(idx => idx.map(prof.frequencies(_).toDouble).scanLeft(0.0)(_ + _).tail).toMap
     val allIdx = prof.ingredients.indices.toArray
+    val excluded = new Array[Boolean](n)
 
-    def drawUniform(excluded: mutable.BitSet): Int = {
+    def firstFree(idx: Array[Int]): Int = {
+      var k = 0
+      while (k < idx.length && excluded(idx(k))) k += 1
+      if (k < idx.length) idx(k) else -1
+    }
+    def drawUniform(): Int = {
       var i = rng.nextInt(n)
       var guard = 0
       while (excluded(i) && guard < 10 * n) { i = rng.nextInt(n); guard += 1 }
-      if (excluded(i)) allIdx.find(!excluded(_)).get else i
+      if (excluded(i)) firstFree(allIdx) else i
     }
-    def drawWeighted(cum: Array[Double], idx: Array[Int], excluded: mutable.BitSet): Int = {
+    def drawWeighted(cum: Array[Double], idx: Array[Int]): Int = {
       val total = cum(cum.length - 1)
       var guard = 0
       while (guard < 200) {
@@ -123,48 +177,49 @@ object RandomModels {
         if (!excluded(pick)) return pick
         guard += 1
       }
-      idx.find(!excluded(_)).getOrElse(-1)
+      firstFree(idx)
     }
-    def drawUniformIn(idx: Array[Int], excluded: mutable.BitSet): Int = {
+    def drawUniformIn(idx: Array[Int]): Int = {
       var guard = 0
       while (guard < 200) {
         val pick = idx(rng.nextInt(idx.length))
         if (!excluded(pick)) return pick
         guard += 1
       }
-      idx.find(!excluded(_)).getOrElse(-1)
+      firstFree(idx)
     }
 
-    val rows = Vector.newBuilder[(String, Long, Int)]
+    val offsets = new Array[Int](nRecipes + 1)
+    val ings = new mutable.ArrayBuilder.ofInt
+    // Profile indices drawn for the current recipe, cleared from `excluded` after it.
+    val chosen = new Array[Int](n)
+    var size = 0
+    def take(i: Int): Unit = { excluded(i) = true; chosen(size) = i; size += 1 }
     var r = 0
     while (r < nRecipes) {
+      size = 0
       val template = rng.nextInt(prof.recipeSizes.length)
-      val excluded = mutable.BitSet.empty
-      val chosen = mutable.ArrayBuffer.empty[Int]
       model match {
         case RandomUniform | Frequency =>
-          val size = math.min(prof.recipeSizes(template), n)
-          while (chosen.length < size) {
-            val pick =
-              if (model == RandomUniform) drawUniform(excluded)
-              else drawWeighted(cumFreq, allIdx, excluded)
-            excluded += pick; chosen += pick
-          }
+          val target = math.min(prof.recipeSizes(template), n)
+          while (size < target)
+            take(if (model == RandomUniform) drawUniform() else drawWeighted(cumFreq, allIdx))
         case Category | FrequencyCategory =>
-          for (cat <- prof.recipeCategories(template)) {
+          for (cat <- templateCats(template)) {
             val idx = catIdx(cat)
             val pick =
-              if (model == Category) drawUniformIn(idx, excluded)
-              else drawWeighted(catCumFreq(cat), idx, excluded)
+              if (model == Category) drawUniformIn(idx)
+              else drawWeighted(catCumFreq(cat), idx)
             // Category exhausted within this recipe → fall back to a
             // uniform draw over the full set (keeps the size preserved).
-            val p = if (pick >= 0) pick else drawUniform(excluded)
-            excluded += p; chosen += p
+            take(if (pick >= 0) pick else drawUniform())
           }
       }
-      chosen.foreach(i => rows += ((label, r.toLong, prof.ingredients(i))))
+      var k = 0
+      while (k < size) { excluded(chosen(k)) = false; ings += prof.ingredients(chosen(k)); k += 1 }
       r += 1
+      offsets(r) = offsets(r - 1) + size
     }
-    rows.result()
+    SampledCuisine(offsets, ings.result())
   }
 }

@@ -1,6 +1,8 @@
 package repro.exp
 
-import org.apache.spark.sql.{DataFrame, Row}
+import java.util.concurrent.{Callable, Executors}
+
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.core.{Contribution, FoodPairing, RandomModels, ZScore}
@@ -75,30 +77,37 @@ object Experiments {
                               nsRand: Double, sigmaRand: Double, nRand: Long,
                               z: Double)
 
-  /** Compute Z for every (region, null model). Processes one sampled
-    * cuisine at a time so at most one n_rand-recipe model is materialized.
+  /** Compute Z for every (region, null model).
+    *
+    * The real N_s^C comes from the Spark operator over the requested
+    * regions. Each (region, model) stream is drawn and scored on the driver
+    * against the dense overlap matrix ([[RandomModels.nullScore]]); the
+    * streams run in parallel on `defaultParallelism` threads. Every stream
+    * has its own seeded RNG and a fixed summation order, so the rows do not
+    * depend on the thread count.
     */
   def foodPairing(p: Pipeline, nRand: Int, seed: Long = 11L,
                   regions: Vector[String] = Table1Order): Vector[PairingRow] = {
     val spark = p.spark
-    val regional = regionalRecipes(p)
+    val regional = regionalRecipes(p).filter(col("region").isin(regions: _*))
     val realNs: Map[String, Double] =
       FoodPairing.cuisineScores(FoodPairing.recipeScores(spark, regional, p.pairShared))
         .collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
+    val profiles = RandomModels.profiles(spark, regional, p.ingredients, regions)
 
-    val out = Vector.newBuilder[PairingRow]
-    for (region <- regions) {
-      val prof = RandomModels.profile(spark, region, regional, p.ingredients)
-      for (model <- RandomModels.AllModels) {
-        val sampled = RandomModels.sample(spark, prof, model, nRand, seed)
-        val cs = FoodPairing.cuisineScores(
-          FoodPairing.recipeScores(spark, sampled, p.pairShared)).collect()(0)
-        val nsRand = cs.getDouble(1); val sigma = cs.getDouble(2); val n = cs.getLong(3)
-        out += PairingRow(region, model.name, realNs(region), nsRand, sigma, n,
-                          ZScore.z(realNs(region), nsRand, sigma, n))
-      }
-    }
-    out.result()
+    val streams = for (region <- regions; model <- RandomModels.AllModels) yield (region, model)
+    val pool = Executors.newFixedThreadPool(spark.sparkContext.defaultParallelism)
+    try {
+      streams.map { case (region, model) =>
+        pool.submit(new Callable[PairingRow] {
+          def call(): PairingRow = {
+            val s = RandomModels.nullScore(p.universe, profiles(region), model, nRand, seed)
+            PairingRow(region, model.name, realNs(region), s.ns, s.sigma, s.n,
+                       ZScore.z(realNs(region), s.ns, s.sigma, s.n))
+          }
+        })
+      }.map(_.get)
+    } finally pool.shutdown()
   }
 
   /** Observed pairing sign per region from the Random-model Z. */
@@ -129,6 +138,10 @@ object Experiments {
   }
 
   // ── formatting ────────────────────────────────────────────────────────
+
+  /** A Z-score for a printed table; "undefined" where Z is not finite. */
+  def fmtZ(z: Double): String =
+    if (java.lang.Double.isFinite(z)) f"$z%.1f" else "undefined"
 
   /** Fixed-width ASCII table (printed by jobs and benches). */
   def fmtTable(headers: Seq[String], rows: Seq[Seq[String]]): String = {

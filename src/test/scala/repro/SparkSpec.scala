@@ -19,9 +19,16 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 }
 
 object SparkSpec {
+  /** SPARK_MASTER if set, else local[SPARK_GRAFT_CPUS] when that is a
+    * positive count, else local[*].
+    */
+  private def master: String = sys.env.getOrElse("SPARK_MASTER",
+    sys.env.get("SPARK_GRAFT_CPUS").filter(_.matches("[1-9][0-9]*"))
+      .fold("local[*]")(n => s"local[$n]"))
+
   lazy val shared: SparkSession = {
     val s = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .master(master)
       .appName("repro")
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
