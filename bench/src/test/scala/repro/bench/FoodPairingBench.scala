@@ -27,18 +27,7 @@ class FoodPairingBench extends AnyFunSuite with SparkSpec {
   private def byKey = rows.map(r => (r.region, r.model) -> r).toMap
 
   test("FIG 4 — food pairing Z-scores across 22 world regions") {
-    val k = byKey
-    println(s"\n=== FIG 4: food pairing Z-scores (nRand=$nRand) ===")
-    println(Experiments.fmtTable(
-      Seq("Region", "PaperSign", "Ns_real", "Ns_rand", "Z_random", "Z_frequency",
-          "Z_category", "Z_freq_cat"),
-      Experiments.Table1Order.map { reg =>
-        def z(m: String) = Experiments.fmtZ(k((reg, m)).z)
-        val paperSign = if (Regions.byCode(reg).zSign > 0) "+" else "-"
-        Seq(reg, paperSign, f"${k((reg, "random")).nsReal}%.3f",
-            f"${k((reg, "random")).nsRand}%.3f",
-            z("random"), z("frequency"), z("category"), z("freq_category"))
-      }))
+    println("\n" + Experiments.fmtFoodPairing(rows))
     assert(rows.size == 22 * 4)
   }
 

@@ -1,10 +1,6 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
-
 import repro.exp.Experiments
-import repro.flavor.FlavorGen
-import repro.pipeline.Pipeline
 
 /** Reproduces paper Fig 2 (as a table): share of recipe-ingredient slots
   * per (region, category).
@@ -12,19 +8,8 @@ import repro.pipeline.Pipeline
   * Usage: spark-submit --class repro.jobs.CategoryCompositionJob repro.jar [scale]
   */
 object CategoryCompositionJob {
-  def main(args: Array[String]): Unit = {
-    val scale = args.headOption.map(_.toDouble).getOrElse(1.0)
-    val spark = SparkSession.builder.appName("category-composition").getOrCreate()
-    val p = Pipeline.get(spark, scale)
-    val rows = Experiments.categoryComposition(p)
-    val byRegion = rows.groupBy(_.region).view.mapValues(
-      _.map(c => c.category -> c.share).toMap)
-    val regions = Experiments.Table1Order :+ "WORLD"
-    val cats = FlavorGen.Categories
-    println(Experiments.fmtTable(
-      "Region" +: cats.map(_.take(9)),
-      regions.filter(byRegion.contains).map(reg =>
-        reg +: cats.map(c => f"${byRegion(reg).getOrElse(c, 0.0) * 100}%.1f"))))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    Job.run("category-composition", args) { p =>
+      println(Experiments.fmtCategoryComposition(Experiments.categoryComposition(p)))
+    }
 }

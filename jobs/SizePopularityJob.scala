@@ -1,9 +1,6 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
-
 import repro.exp.Experiments
-import repro.pipeline.Pipeline
 
 /** Reproduces paper Fig 3 (as tables): recipe-size distribution and
   * ingredient-popularity scaling per region.
@@ -11,25 +8,9 @@ import repro.pipeline.Pipeline
   * Usage: spark-submit --class repro.jobs.SizePopularityJob repro.jar [scale]
   */
 object SizePopularityJob {
-  def main(args: Array[String]): Unit = {
-    val scale = args.headOption.map(_.toDouble).getOrElse(1.0)
-    val spark = SparkSession.builder.appName("size-popularity").getOrCreate()
-    val p = Pipeline.get(spark, scale)
-
-    val sizes = Experiments.meanSizes(p).map(s => s.region -> s).toMap
-    val slopes = Experiments.popularitySlopes(p).toMap
-    println("Recipe size and popularity scaling per region:")
-    println(Experiments.fmtTable(
-      Seq("Region", "MeanSize", "MaxSize", "PopularitySlope"),
-      (Experiments.Table1Order :+ "WORLD").filter(sizes.contains).map { reg =>
-        Seq(reg, f"${sizes(reg).meanSize}%.2f", sizes(reg).maxSize.toString,
-            slopes.get(reg).map(s => f"$s%.3f").getOrElse("-"))
-      }))
-
-    println("\nWORLD recipe-size histogram:")
-    println(Experiments.fmtTable(
-      Seq("n", "recipes"),
-      Experiments.worldSizeHistogram(p).map { case (n, c) => Seq(n.toString, c.toString) }))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    Job.run("size-popularity", args) { p =>
+      println(Experiments.fmtSizes(Experiments.meanSizes(p), Experiments.popularitySlopes(p)))
+      println(Experiments.fmtSizeHistogram(Experiments.worldSizeHistogram(p)))
+    }
 }

@@ -1,38 +1,27 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.functions.col
 
 import repro.exp.Experiments
-import repro.pipeline.Pipeline
+import repro.ingest.Aliaser
 
-/** Quick end-to-end smoke run at reduced scale (not a paper table). */
+/** Quick end-to-end smoke run at reduced scale (not a paper table).
+  *
+  * Usage: spark-submit --class repro.jobs.SmokeJob repro.jar [scale] [nRand]
+  */
 object SmokeJob {
-  def main(args: Array[String]): Unit = {
-    val scale = args.headOption.map(_.toDouble).getOrElse(0.05)
-    val nRand = args.lift(1).map(_.toInt).getOrElse(2000)
-    val spark = SparkSession.builder.master("local[*]").appName("smoke")
-      .config("spark.sql.shuffle.partitions", "16")
-      .config("spark.ui.enabled", "false")
-      .config("spark.driver.host", "127.0.0.1")
-      .getOrCreate()
-    spark.sparkContext.setLogLevel("WARN")
+  def main(args: Array[String]): Unit =
+    Job.run("smoke", args, defaultScale = 0.05) { p =>
+      val nRand = args.lift(1).map(_.toInt).getOrElse(2000)
+      println(s"recipes rows = ${p.recipes.count()}, phrases = ${p.phrases.count()}")
+      val unmatched = Aliaser.alias(p.spark, p.universe, p.phrases)
+        .filter(col("ing_id") === -1).count()
+      println(s"unmatched phrases = $unmatched")
 
-    val t0 = System.nanoTime()
-    val p = Pipeline.get(spark, scale)
-    println(s"pipeline built in ${(System.nanoTime() - t0) / 1e9}%s s")
-    println(s"recipes rows = ${p.recipes.count()}, phrases = ${p.phrases.count()}")
-    val unmatched = repro.ingest.Aliaser.alias(spark, p.universe, p.phrases)
-      .filter(org.apache.spark.sql.functions.col("ing_id") === -1).count()
-    println(s"unmatched phrases = $unmatched")
-
-    val t1 = System.nanoTime()
-    val rows = Experiments.foodPairing(p, nRand,
-      regions = Vector("ITA", "USA", "SCND", "KOR", "AFR", "EE"))
-    println(s"pairing in ${(System.nanoTime() - t1) / 1e9} s")
-    println(Experiments.fmtTable(
-      Seq("Region", "Model", "Ns_real", "Ns_rand", "Z"),
-      rows.map(r => Seq(r.region, r.model, f"${r.nsReal}%.3f", f"${r.nsRand}%.3f",
-                        Experiments.fmtZ(r.z)))))
-    spark.stop()
-  }
+      val t1 = System.nanoTime()
+      val rows = Experiments.foodPairing(p, nRand,
+        regions = Vector("ITA", "USA", "SCND", "KOR", "AFR", "EE"))
+      println(s"pairing in ${(System.nanoTime() - t1) / 1e9} s")
+      println(Experiments.fmtFoodPairing(rows))
+    }
 }

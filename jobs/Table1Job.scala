@@ -1,23 +1,12 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
-
 import repro.exp.Experiments
-import repro.pipeline.Pipeline
 
 /** Reproduces paper Table 1: recipes and unique ingredients per region.
   *
   * Usage: spark-submit --class repro.jobs.Table1Job repro.jar [scale]
   */
 object Table1Job {
-  def main(args: Array[String]): Unit = {
-    val scale = args.headOption.map(_.toDouble).getOrElse(1.0)
-    val spark = SparkSession.builder.appName("table1").getOrCreate()
-    val p = Pipeline.get(spark, scale)
-    val rows = Experiments.table1(p)
-    println(Experiments.fmtTable(
-      Seq("Region", "Recipes", "Ingredients"),
-      rows.map(r => Seq(r.region, r.recipes.toString, r.ingredients.toString))))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    Job.run("table1", args)(p => println(Experiments.fmtTable1(Experiments.table1(p))))
 }

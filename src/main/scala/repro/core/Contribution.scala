@@ -18,47 +18,38 @@ object Contribution {
 
   /** χ_i for every (region, ingredient).
     *
+    * Per recipe, [[FoodPairing.recipeTotals]] gives m pairs with shared sum
+    * S. Ingredient i lies in d_i = n−1 of them with shared sum s_i, so the
+    * recipe without i scores (S − s_i)/(m − d_i) and drops out when
+    * m − d_i = 0.
+    *
     * @param recipes    (region, recipe_id, ing_id)
     * @param pairShared (ing_a, ing_b, shared) — pairs absent ⇒ 0 shared
     * @return (region, ing_id, chi, ns_without, freq) where `chi` is the
-    *         percentage change and `freq` the ingredient's use count
+    *         percentage change and `freq` the ingredient's use count.
+    *         `ns_without` is null where removing i leaves no recipe, and
+    *         `chi` is null there and wherever N_s^C = 0.
     */
   def chi(spark: SparkSession, recipes: DataFrame, pairShared: DataFrame): DataFrame = {
-    val sizes = recipes.select("region", "recipe_id", "ing_id").distinct()
-      .groupBy("region", "recipe_id")
-      .agg(count(lit(1)).cast("int").as("n"))
-      .filter(col("n") >= 2)
+    val pairs = FoodPairing.sharedPairs(recipes, pairShared)
+    val scored = FoodPairing.recipeTotals(pairs)
 
-    val pairs = FoodPairing.recipePairs(recipes)
-      .join(broadcast(pairShared), Seq("ing_a", "ing_b"), "left")
-      .na.fill(0, Seq("shared"))
-
-    val recipeSums = pairs.groupBy("region", "recipe_id")
-      .agg(sum("shared").as("shared_sum"))
-
-    val scored = sizes.join(recipeSums, Seq("region", "recipe_id"), "left")
-      .na.fill(0, Seq("shared_sum"))
-      .withColumn("score", lit(2.0) * col("shared_sum") / (col("n") * (col("n") - 1)))
-
-    // Per (recipe, member ingredient): sum of shared over pairs involving it.
+    // Per (recipe, member ingredient): pair count and shared sum over pairs involving it.
     val directed = pairs.select(col("region"), col("recipe_id"),
                                 col("ing_a").as("ing_id"), col("shared"))
       .unionByName(pairs.select(col("region"), col("recipe_id"),
                                 col("ing_b").as("ing_id"), col("shared")))
     val perIng = directed.groupBy("region", "recipe_id", "ing_id")
-      .agg(sum("shared").as("ing_shared_sum"))
+      .agg(count(lit(1)).as("d"), sum("shared").as("ing_shared_sum"))
       .join(scored, Seq("region", "recipe_id"))
       .withColumn("score_without",
-        when(col("n") >= 3,
-             lit(2.0) * (col("shared_sum") - col("ing_shared_sum")) /
-               ((col("n") - 1) * (col("n") - 2)))
-          .otherwise(lit(null)))
+        try_divide(col("shared_sum") - col("ing_shared_sum"), col("m") - col("d")))
 
     // Per (region, ingredient): totals over recipes containing it.
     val perRegionIng = perIng.groupBy("region", "ing_id").agg(
       sum("score").as("removed_score_sum"),
-      sum("score_without").as("adjusted_sum"),       // null-safe: skips n==2
-      sum(when(col("n") === 2, 1).otherwise(0)).as("dropped_recipes"),
+      sum("score_without").as("adjusted_sum"),       // null-safe: skips dropped recipes
+      (count(lit(1)) - count("score_without")).as("dropped_recipes"),
       count(lit(1)).as("freq"),
     ).na.fill(0.0, Seq("adjusted_sum"))
 
@@ -69,9 +60,9 @@ object Contribution {
 
     perRegionIng.join(regionTotals, Seq("region"))
       .withColumn("ns_without",
-        (col("total_score_sum") - col("removed_score_sum") + col("adjusted_sum")) /
-          (col("n_recipes") - col("dropped_recipes")))
-      .withColumn("chi", lit(100.0) * (col("ns_without") - col("ns")) / col("ns"))
+        try_divide(col("total_score_sum") - col("removed_score_sum") + col("adjusted_sum"),
+                   col("n_recipes") - col("dropped_recipes")))
+      .withColumn("chi", try_divide(lit(100.0) * (col("ns_without") - col("ns")), col("ns")))
       .select("region", "ing_id", "chi", "ns_without", "freq")
   }
 
@@ -79,6 +70,8 @@ object Contribution {
     * pairing: for positive-pairing regions the strongest contributors are
     * those whose removal most *decreases* N_s (most negative χ), and
     * symmetrically for negative-pairing regions.
+    *
+    * An undefined (null) χ ranks after every defined one.
     *
     * @param chiDf output of [[chi]]
     * @param signs (region, sign) with sign ∈ {+1, −1} — the *observed*
@@ -88,7 +81,7 @@ object Contribution {
     val ranked = chiDf.join(signs, Seq("region"))
       .withColumn("strength", -col("sign") * col("chi"))
       .withColumn("rank", row_number().over(
-        Window.partitionBy("region").orderBy(col("strength").desc)))
+        Window.partitionBy("region").orderBy(col("strength").desc_nulls_last)))
     ranked.filter(col("rank") <= k)
       .select("region", "rank", "ing_id", "chi", "freq")
   }

@@ -7,6 +7,7 @@ import org.apache.spark.sql.functions._
 
 import repro.core.{Contribution, FoodPairing, RandomModels, ZScore}
 import repro.data.Regions
+import repro.flavor.FlavorGen
 import repro.pipeline.Pipeline
 import repro.stats.CuisineStats
 
@@ -117,6 +118,7 @@ object Experiments {
 
   // ── Fig 5: top contributing ingredients ───────────────────────────────
 
+  /** `chi` is NaN where χ is undefined (see [[Contribution.chi]]). */
   final case class ContributorRow(region: String, rank: Int, ingredient: String,
                                   chi: Double, freq: Long, popularityRank: Int)
 
@@ -132,18 +134,86 @@ object Experiments {
       .select("region", "rank", "name", "chi", "freq", "pop_rank")
       .collect()
       .map(r => ContributorRow(r.getString(0), r.getInt(1), r.getString(2),
-                               r.getDouble(3), r.getLong(4), r.getInt(5)))
+                               if (r.isNullAt(3)) Double.NaN else r.getDouble(3),
+                               r.getLong(4), r.getInt(5)))
       .toVector
       .sortBy(r => (r.region, r.rank))
   }
 
-  // ── formatting ────────────────────────────────────────────────────────
+  // ── formatting: each paper table is laid out once, for jobs and benches ─
+
+  def fmtTable1(rows: Vector[Table1Row]): String =
+    "=== TABLE 1: Statistics of recipes and ingredients across world cuisines ===\n" +
+      fmtTable(
+        Seq("Region", "Recipes(paper)", "Recipes(ours)", "Ingredients(paper)", "Ingredients(ours)"),
+        rows.map { r =>
+          val paper = Regions.byCode.get(r.region)
+          Seq(r.region, paper.fold(Regions.worldRecipes)(_.recipes).toString, r.recipes.toString,
+              paper.fold("-")(_.ingredients.toString), r.ingredients.toString)
+        })
+
+  def fmtCategoryComposition(rows: Vector[CategoryRow]): String = {
+    val shares = rows.groupBy(_.region).view.mapValues(_.map(c => c.category -> c.share).toMap)
+    val cats = FlavorGen.Categories
+    "=== FIG 2: Compositions of recipes in terms of ingredient categories (% of slots) ===\n" +
+      fmtTable(
+        "Region" +: cats.map(_.take(9)),
+        (Table1Order :+ CuisineStats.World).filter(shares.contains).map(reg =>
+          reg +: cats.map(c => f"${shares(reg).getOrElse(c, 0.0) * 100}%.1f")))
+  }
+
+  def fmtSizeHistogram(hist: Vector[(Int, Long)]): String = {
+    val total = hist.map(_._2).sum.toDouble
+    "=== FIG 3a: WORLD recipe-size distribution ===\n" +
+      fmtTable(
+        Seq("n", "recipes", "P(n)"),
+        hist.map { case (n, c) => Seq(n.toString, c.toString, f"${c / total}%.4f") })
+  }
+
+  def fmtSizes(sizes: Vector[SizeRow], slopes: Vector[(String, Double)]): String = {
+    val bySize = sizes.map(s => s.region -> s).toMap
+    val bySlope = slopes.toMap
+    "=== FIG 3: recipe size and popularity rank-frequency log-log slope per region ===\n" +
+      fmtTable(
+        Seq("Region", "MeanSize", "MaxSize", "PopularitySlope"),
+        (Table1Order :+ CuisineStats.World).filter(bySize.contains).map { reg =>
+          Seq(reg, f"${bySize(reg).meanSize}%.2f", bySize(reg).maxSize.toString,
+              bySlope.get(reg).fold("-")(s => f"$s%.3f"))
+        })
+  }
+
+  /** Fig 4, one line per region in the order of `rows`. */
+  def fmtFoodPairing(rows: Vector[PairingRow]): String = {
+    val byKey = rows.map(r => (r.region, r.model) -> r).toMap
+    s"=== FIG 4: food pairing Z-scores (nRand=${rows.head.nRand}) ===\n" +
+      fmtTable(
+        Seq("Region", "PaperSign", "Ns_real", "Ns_rand", "Z_random", "Z_frequency",
+            "Z_category", "Z_freq_cat"),
+        rows.map(_.region).distinct.map { reg =>
+          val random = byKey((reg, RandomModels.RandomUniform.name))
+          Seq(reg, if (Regions.byCode(reg).zSign > 0) "+" else "-",
+              f"${random.nsReal}%.3f", f"${random.nsRand}%.3f") ++
+            RandomModels.AllModels.map(m => fmtZ(byKey((reg, m.name)).z))
+        })
+  }
+
+  /** Fig 5; `signs` are the pairing directions the contributors were ranked by. */
+  def fmtContributors(rows: Vector[ContributorRow], signs: Map[String, Int]): String =
+    "=== FIG 5: top-3 ingredients contributing to the observed food pairing ===\n" +
+      fmtTable(
+        Seq("Region", "Sign", "Rank", "Ingredient", "Chi(%)", "Freq", "PopRank"),
+        rows.map(r => Seq(r.region, if (signs(r.region) > 0) "+" else "-",
+                          r.rank.toString, r.ingredient, fmtDefined(r.chi, 3),
+                          r.freq.toString, r.popularityRank.toString)))
+
+  /** `x` to `decimals` places; "undefined" where x is not finite. */
+  private def fmtDefined(x: Double, decimals: Int): String =
+    if (java.lang.Double.isFinite(x)) s"%.${decimals}f".format(x) else "undefined"
 
   /** A Z-score for a printed table; "undefined" where Z is not finite. */
-  def fmtZ(z: Double): String =
-    if (java.lang.Double.isFinite(z)) f"$z%.1f" else "undefined"
+  def fmtZ(z: Double): String = fmtDefined(z, 1)
 
-  /** Fixed-width ASCII table (printed by jobs and benches). */
+  /** Fixed-width ASCII table. */
   def fmtTable(headers: Seq[String], rows: Seq[Seq[String]]): String = {
     val all = headers +: rows
     val widths = headers.indices.map(i => all.map(_(i).length).max)

@@ -1,9 +1,11 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{SparkSpec, TestPipeline}
+import repro.exp.Experiments
 
 /** Ingredient contribution χ_i (Methodology IV.C): hand-computed example
   * plus a brute-force cross-check (actually removing the ingredient and
@@ -102,4 +104,59 @@ class ContributionSpec extends AnyFunSuite with SparkSpec {
 
   private def tinyChi2Df =
     Contribution.chi(spark, tinyRecipes, tinyShared)
+
+  // Degenerate regions under the same overlaps: Z's only recipe {1,3} shares
+  // nothing (N_s^C = 0); E's only recipe {1,2} empties the cuisine when
+  // either ingredient is removed.
+  private def zeroNs = Seq(("Z", 20L, 1), ("Z", 20L, 3)).toDF("region", "recipe_id", "ing_id")
+  private def emptied = Seq(("E", 30L, 1), ("E", 30L, 2)).toDF("region", "recipe_id", "ing_id")
+
+  /** (region, ing) → (chi, ns_without), None where null. */
+  private def chiOf(recipes: DataFrame): Map[(String, Int), (Option[Double], Option[Double])] =
+    Contribution.chi(spark, recipes, tinyShared).collect().map { r =>
+      def opt(i: Int) = if (r.isNullAt(i)) None else Some(r.getDouble(i))
+      (r.getString(0), r.getInt(1)) -> (opt(2), opt(3))
+    }.toMap
+
+  test("chi is undefined, not an error, when the cuisine's N_s^C is 0") {
+    val got = chiOf(zeroNs)
+    assert(got == Map(("Z", 1) -> (None, None), ("Z", 3) -> (None, None)))
+  }
+
+  test("chi is undefined, not an error, when removing the ingredient empties the cuisine") {
+    val got = chiOf(emptied)
+    assert(got == Map(("E", 1) -> (None, None), ("E", 2) -> (None, None)))
+  }
+
+  test("degenerate regions leave a healthy region's chi unchanged") {
+    val got = chiOf(tinyRecipes.unionByName(zeroNs).unionByName(emptied))
+    assert(got.filter(_._1._1 == "X") ==
+      tinyChi.map { case (ing, (chi, nsWithout, _)) => ("X", ing) -> (Some(chi), Some(nsWithout)) })
+    assert(got.filter(_._1._1 != "X").values.forall(_ == ((None, None))))
+  }
+
+  test("topContributors ranks an undefined chi after every defined one") {
+    // {1,2} scores 4, {1,3} scores 0: removing 2 gives χ = −100, removing 3
+    // gives +100, removing 1 empties the cuisine.
+    val recipes = Seq(("V", 1L, 1), ("V", 1L, 2), ("V", 2L, 1), ("V", 2L, 3))
+      .toDF("region", "recipe_id", "ing_id")
+    val chiDf = Contribution.chi(spark, recipes, tinyShared)
+    for ((sign, order) <- Seq(1 -> Seq(2, 3, 1), -1 -> Seq(3, 2, 1))) {
+      val ranked = Contribution.topContributors(chiDf, Seq(("V", sign)).toDF("region", "sign"), k = 3)
+        .collect().map(r => r.getInt(1) -> r.getInt(2)).sortBy(_._1).map(_._2).toSeq
+      assert(ranked == order, s"sign $sign")
+    }
+  }
+
+  test("an undefined chi is NaN in ContributorRow and prints as undefined") {
+    val names = Seq((1, "one"), (2, "two"), (3, "three")).toDF("ing_id", "name")
+    val p = TestPipeline.get(spark).copy(
+      recipes = zeroNs.unionByName(emptied), ingredients = names, pairShared = tinyShared)
+    val signs = Map("Z" -> 1, "E" -> -1)
+    val rows = Experiments.topContributors(p, signs)
+    assert(rows.size == 4 && rows.forall(_.chi.isNaN))
+    val table = Experiments.fmtContributors(rows, signs)
+    assert(table.split('\n').count(_.contains("undefined")) == 4)
+    assert(!table.contains("NaN"))
+  }
 }
