@@ -2,16 +2,15 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestPipeline}
 import repro.exp.Experiments
-import repro.pipeline.Pipeline
 
 /** Regenerates paper Fig 2 (as a table): ingredient-category composition
   * of recipes per region, and checks the paper's qualitative claims.
   */
 class CategoryCompositionBench extends AnyFunSuite with SparkSpec {
 
-  private lazy val p = Pipeline.get(spark, scale = 1.0)
+  private lazy val p = TestPipeline.get(spark, scale = 1.0)
   private lazy val rows = Experiments.categoryComposition(p)
   private lazy val shares: Map[String, Map[String, Double]] =
     rows.groupBy(_.region).view

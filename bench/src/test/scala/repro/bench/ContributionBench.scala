@@ -2,10 +2,9 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestPipeline}
 import repro.data.Regions
 import repro.exp.Experiments
-import repro.pipeline.Pipeline
 
 /** Regenerates paper Fig 5 (as a table): top-3 ingredients contributing to
   * each region's observed food pairing, and asserts the paper's structural
@@ -17,7 +16,7 @@ import repro.pipeline.Pipeline
   */
 class ContributionBench extends AnyFunSuite with SparkSpec {
 
-  private lazy val p = Pipeline.get(spark, scale = 1.0)
+  private lazy val p = TestPipeline.get(spark, scale = 1.0)
   // Signs are the *planted* = paper signs; FoodPairingBench verifies that
   // the observed signs match them.
   private lazy val signs: Map[String, Int] =

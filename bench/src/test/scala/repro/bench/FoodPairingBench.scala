@@ -2,10 +2,9 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestPipeline}
 import repro.data.Regions
 import repro.exp.Experiments
-import repro.pipeline.Pipeline
 
 /** Regenerates paper Fig 4 (as a table): the food-pairing Z-score of
   * every region against the four randomized-cuisine models, and asserts
@@ -22,7 +21,7 @@ import repro.pipeline.Pipeline
 class FoodPairingBench extends AnyFunSuite with SparkSpec {
 
   private val nRand = sys.env.get("REPRO_NRAND").map(_.toInt).getOrElse(100000)
-  private lazy val p = Pipeline.get(spark, scale = 1.0)
+  private lazy val p = TestPipeline.get(spark, scale = 1.0)
   private lazy val rows = Experiments.foodPairing(p, nRand)
   private def byKey = rows.map(r => (r.region, r.model) -> r).toMap
 

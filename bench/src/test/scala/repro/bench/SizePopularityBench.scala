@@ -2,16 +2,15 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestPipeline}
 import repro.exp.Experiments
-import repro.pipeline.Pipeline
 
 /** Regenerates paper Fig 3 (as tables): recipe-size distribution and
   * ingredient-popularity scaling.
   */
 class SizePopularityBench extends AnyFunSuite with SparkSpec {
 
-  private lazy val p = Pipeline.get(spark, scale = 1.0)
+  private lazy val p = TestPipeline.get(spark, scale = 1.0)
   private lazy val sizes = Experiments.meanSizes(p)
 
   test("FIG 3a — recipe size distribution") {

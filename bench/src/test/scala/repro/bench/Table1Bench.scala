@@ -2,15 +2,14 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestPipeline}
 import repro.data.Regions
 import repro.exp.Experiments
-import repro.pipeline.Pipeline
 
 /** Regenerates paper Table 1 at full scale and checks exact agreement. */
 class Table1Bench extends AnyFunSuite with SparkSpec {
 
-  private lazy val p = Pipeline.get(spark, scale = 1.0)
+  private lazy val p = TestPipeline.get(spark, scale = 1.0)
 
   test("TABLE 1 — recipes and ingredients across world cuisines") {
     val rows = Experiments.table1(p)

@@ -15,7 +15,7 @@ object Job {
     val spark = SparkSession.builder().config(conf).appName(appName).getOrCreate()
     // Keep the printed tables readable, as the benches do.
     spark.sparkContext.setLogLevel("WARN")
-    try body(Pipeline.get(spark, args.headOption.fold(defaultScale)(_.toDouble)))
+    try body(Pipeline.build(spark, args.headOption.fold(defaultScale)(_.toDouble)))
     finally spark.stop()
   }
 }

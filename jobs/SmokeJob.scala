@@ -15,7 +15,7 @@ object SmokeJob {
       val nRand = args.lift(1).map(_.toInt).getOrElse(2000)
       println(s"recipes rows = ${p.recipes.count()}, phrases = ${p.phrases.count()}")
       val unmatched = Aliaser.alias(p.spark, p.universe, p.phrases)
-        .filter(col("ing_id") === -1).count()
+        .filter(col("ing_id") === Aliaser.UnmatchedId).count()
       println(s"unmatched phrases = $unmatched")
 
       val t1 = System.nanoTime()

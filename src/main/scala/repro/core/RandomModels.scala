@@ -23,8 +23,8 @@ import repro.flavor.FlavorUniverse
   * Sampling runs on the driver (seeded, deterministic) from cuisine
   * statistics collected via DataFrame aggregations, into primitive arrays
   * ([[draw]]). Fig 4 scores those arrays on the driver against the dense
-  * overlap matrix ([[nullScore]]); [[sample]] wraps the same draws into a
-  * DataFrame for the Spark operator ([[FoodPairing.recipeScores]]), the
+  * overlap matrix ([[nullScore]]); [[sampleRows]] lists the same draws as
+  * rows for the Spark operator ([[FoodPairing.recipeScores]]), the
   * reference the driver kernel is tested against.
   */
 object RandomModels {
@@ -36,20 +36,28 @@ object RandomModels {
   case object FrequencyCategory extends Model("freq_category")
   val AllModels: Vector[Model] = Vector(RandomUniform, Frequency, Category, FrequencyCategory)
 
-  /** Everything a sampler needs about one cuisine, extracted via Spark.
-    * Arrays `ingredients`, `frequencies`, `categories` are aligned and sorted
-    * by ingredient id; recipes are in recipe-id order, each recipe's
-    * categories in ingredient-id order, so the profile does not depend on
-    * the order Spark returns rows in.
+  /** Everything a sampler needs about one cuisine, extracted via Spark:
+    * its ingredients sorted by id with their `categories` aligned, and its
+    * `recipes` in recipe-id order, each as ascending indices into
+    * `ingredients`. Everything else the models preserve is derived from the
+    * recipes, so the profile does not depend on the order Spark returns rows
+    * in and cannot disagree with itself.
     */
   final case class CuisineProfile(
       region: String,
       ingredients: Array[Int],
-      frequencies: Array[Long],
       categories: Array[String],
-      recipeSizes: Array[Int],
-      recipeCategories: Array[Array[String]],
-  )
+      recipes: Array[Array[Int]],
+  ) {
+    /** Uses of each ingredient across the recipes, aligned with `ingredients`. */
+    def frequencies: Array[Long] = {
+      val f = new Array[Long](ingredients.length)
+      recipes.foreach(_.foreach(f(_) += 1))
+      f
+    }
+    def recipeSizes: Array[Int] = recipes.map(_.length)
+    def recipeCategories: Array[Array[String]] = recipes.map(_.map(categories))
+  }
 
   /** Collect the per-cuisine statistics the models must preserve, for every
     * requested region, from one grouped collect.
@@ -75,25 +83,12 @@ object RandomModels {
 
   /** @param rows (region, recipe_id, ing_id, category), distinct */
   private def profileOf(region: String, rows: Array[Row]): CuisineProfile = {
-    val freq = mutable.HashMap.empty[Int, Long].withDefaultValue(0L)
-    val catOf = mutable.HashMap.empty[Int, String]
-    val byRecipe = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Int]]
-    rows.foreach { r =>
-      val rid = r.getLong(1); val ing = r.getInt(2)
-      freq(ing) += 1
-      catOf(ing) = r.getString(3)
-      byRecipe.getOrElseUpdate(rid, mutable.ArrayBuffer.empty) += ing
-    }
-    val ings = freq.keys.toArray.sorted
-    val recipesArr = byRecipe.toArray.sortBy(_._1).map(_._2.toArray.sorted)
-    CuisineProfile(
-      region,
-      ings,
-      ings.map(freq),
-      ings.map(catOf),
-      recipesArr.map(_.length),
-      recipesArr.map(_.map(catOf)),
-    )
+    val catOf = rows.map(r => r.getInt(2) -> r.getString(3)).toMap
+    val ings = catOf.keys.toArray.sorted
+    val index = ings.zipWithIndex.toMap
+    val recipes = rows.groupBy(_.getLong(1)).toArray.sortBy(_._1)
+      .map(_._2.map(r => index(r.getInt(2))).sorted)
+    CuisineProfile(region, ings, ings.map(catOf), recipes)
   }
 
   /** A sampled cuisine in primitive arrays: recipe r is the distinct
@@ -102,16 +97,6 @@ object RandomModels {
     */
   final case class SampledCuisine(offsets: Array[Int], ings: Array[Int]) {
     def nRecipes: Int = offsets.length - 1
-  }
-
-  /** Generate `nRecipes` random recipes under `model` and return them as a
-    * (region, recipe_id, ing_id) DataFrame with region = "region@model".
-    */
-  def sample(spark: SparkSession, prof: CuisineProfile, model: Model,
-             nRecipes: Int, seed: Long = 11L): DataFrame = {
-    import spark.implicits._
-    val rows = sampleRows(prof, model, nRecipes, seed)
-    rows.toDF("region", "recipe_id", "ing_id")
   }
 
   /** The draws of [[draw]] as (region@model, recipe_id, ing_id) rows. */
@@ -134,60 +119,45 @@ object RandomModels {
     FoodPairing.denseCuisineScore(u, s.offsets, s.ings)
   }
 
-  /** Driver-side sampling: the one sampler behind [[sampleRows]],
-    * [[sample]] and [[nullScore]]. Deterministic per (region, model, seed).
+  /** Driver-side sampling: the one sampler behind [[sampleRows]] and
+    * [[nullScore]]. Deterministic per (region, model, seed).
     */
   def draw(prof: CuisineProfile, model: Model, nRecipes: Int,
            seed: Long = 11L): SampledCuisine = {
     val rng = new Random(seed * 7919L + prof.region.hashCode * 31L + model.name.hashCode)
     val n = prof.ingredients.length
+    val freq = prof.frequencies
+    def cumulative(idx: Array[Int]): Array[Double] =
+      idx.map(freq(_).toDouble).scanLeft(0.0)(_ + _).tail
 
-    val cumFreq = prof.frequencies.map(_.toDouble).scanLeft(0.0)(_ + _).tail
-    val catNames = prof.categories.distinct
-    val catIdx: Array[Array[Int]] =
-      catNames.map(c => prof.ingredients.indices.filter(prof.categories(_) == c).toArray)
-    val catCumFreq: Array[Array[Double]] =
-      catIdx.map(idx => idx.map(prof.frequencies(_).toDouble).scanLeft(0.0)(_ + _).tail)
-    val templateCats: Array[Array[Int]] = {
-      val catNo = catNames.zipWithIndex.toMap
-      prof.recipeCategories.map(_.map(catNo))
-    }
     val allIdx = prof.ingredients.indices.toArray
+    val cumFreq = cumulative(allIdx)
+    val catNames = prof.categories.distinct
+    val catIdx: Array[Array[Int]] = catNames.map(c => allIdx.filter(prof.categories(_) == c))
+    val catCumFreq: Array[Array[Double]] = catIdx.map(cumulative)
+    val catOf: Array[Int] = prof.categories.map(catNames.zipWithIndex.toMap)
     val excluded = new Array[Boolean](n)
 
-    def firstFree(idx: Array[Int]): Int = {
-      var k = 0
-      while (k < idx.length && excluded(idx(k))) k += 1
-      if (k < idx.length) idx(k) else -1
-    }
-    def drawUniform(): Int = {
-      var i = rng.nextInt(n)
-      var guard = 0
-      while (excluded(i) && guard < 10 * n) { i = rng.nextInt(n); guard += 1 }
-      if (excluded(i)) firstFree(allIdx) else i
-    }
-    def drawWeighted(cum: Array[Double], idx: Array[Int]): Int = {
-      val total = cum(cum.length - 1)
-      var guard = 0
-      while (guard < 200) {
-        val t = rng.nextDouble() * total
-        var lo = 0; var hi = cum.length - 1
-        while (lo < hi) { val mid = (lo + hi) / 2; if (cum(mid) < t) lo = mid + 1 else hi = mid }
-        val pick = idx(lo)
-        if (!excluded(pick)) return pick
-        guard += 1
+    // Up to `tries` draws from `idx`, uniform when `cum` is null and
+    // otherwise ∝ the frequencies accumulated in `cum`, until one is not
+    // excluded; then the first free index of `idx`, or −1 if there is none.
+    def pick(idx: Array[Int], cum: Array[Double], tries: Int): Int = {
+      var t = 0
+      while (t < tries) {
+        val k =
+          if (cum == null) rng.nextInt(idx.length)
+          else {
+            val x = rng.nextDouble() * cum(cum.length - 1)
+            var lo = 0; var hi = cum.length - 1
+            while (lo < hi) { val mid = (lo + hi) / 2; if (cum(mid) < x) lo = mid + 1 else hi = mid }
+            lo
+          }
+        if (!excluded(idx(k))) return idx(k)
+        t += 1
       }
-      firstFree(idx)
+      idx.find(!excluded(_)).getOrElse(-1)
     }
-    def drawUniformIn(idx: Array[Int]): Int = {
-      var guard = 0
-      while (guard < 200) {
-        val pick = idx(rng.nextInt(idx.length))
-        if (!excluded(pick)) return pick
-        guard += 1
-      }
-      firstFree(idx)
-    }
+    val uniformTries = 10 * n + 1
 
     val offsets = new Array[Int](nRecipes + 1)
     val ings = new mutable.ArrayBuilder.ofInt
@@ -198,21 +168,19 @@ object RandomModels {
     var r = 0
     while (r < nRecipes) {
       size = 0
-      val template = rng.nextInt(prof.recipeSizes.length)
+      val template = prof.recipes(rng.nextInt(prof.recipes.length))
       model match {
-        case RandomUniform | Frequency =>
-          val target = math.min(prof.recipeSizes(template), n)
-          while (size < target)
-            take(if (model == RandomUniform) drawUniform() else drawWeighted(cumFreq, allIdx))
+        case RandomUniform =>
+          while (size < math.min(template.length, n)) take(pick(allIdx, null, uniformTries))
+        case Frequency =>
+          while (size < math.min(template.length, n)) take(pick(allIdx, cumFreq, 200))
         case Category | FrequencyCategory =>
-          for (cat <- templateCats(template)) {
-            val idx = catIdx(cat)
-            val pick =
-              if (model == Category) drawUniformIn(idx)
-              else drawWeighted(catCumFreq(cat), idx)
+          for (i <- template) {
+            val cat = catOf(i)
+            val p = pick(catIdx(cat), if (model == Category) null else catCumFreq(cat), 200)
             // Category exhausted within this recipe → fall back to a
             // uniform draw over the full set (keeps the size preserved).
-            take(if (pick >= 0) pick else drawUniform())
+            take(if (p >= 0) p else pick(allIdx, null, uniformTries))
           }
       }
       var k = 0

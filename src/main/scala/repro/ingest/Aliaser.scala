@@ -70,7 +70,7 @@ object Aliaser {
     */
   def alias(spark: SparkSession, u: FlavorUniverse, phrases: DataFrame): DataFrame = {
     val bc = spark.sparkContext.broadcast(dictionary(u))
-    val aliasUdf = udf((p: String) => aliasTokens(bc.value, TextNorm.normalize(p)))
+    val aliasUdf = udf((p: String) => aliasPhrase(bc.value, p))
     phrases.withColumn("ing_id", aliasUdf(col("phrase")))
   }
 

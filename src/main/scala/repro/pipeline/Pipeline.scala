@@ -1,7 +1,5 @@
 package repro.pipeline
 
-import scala.collection.mutable
-
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -11,8 +9,7 @@ import repro.ingest.Aliaser
 
 /** End-to-end data pipeline: flavor universe → synthetic corpus → raw
   * phrases → aliasing → the analysis-ready recipe table, plus the derived
-  * flavor tables. Instances are cached per (scale, seed) so every test
-  * suite and bench reuses the same cached DataFrames.
+  * flavor tables, each DataFrame cached in `spark`.
   */
 final case class Pipeline(
     spark: SparkSession,
@@ -33,15 +30,7 @@ final case class Pipeline(
 
 object Pipeline {
 
-  private val cache = mutable.HashMap.empty[(Double, Long), Pipeline]
-
-  /** Build (or fetch the cached) pipeline at a given corpus scale. */
-  def get(spark: SparkSession, scale: Double = 1.0, seed: Long = 7L): Pipeline =
-    cache.synchronized {
-      cache.getOrElseUpdate((scale, seed), build(spark, scale, seed))
-    }
-
-  def build(spark: SparkSession, scale: Double, seed: Long): Pipeline = {
+  def build(spark: SparkSession, scale: Double, seed: Long = 7L): Pipeline = {
     import spark.implicits._
     val universe = FlavorGen.universe()
     val rows = CuisineGen.generate(universe, scale, seed)

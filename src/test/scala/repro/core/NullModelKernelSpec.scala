@@ -21,11 +21,14 @@ class NullModelKernelSpec extends AnyFunSuite with SparkSpec {
     a == b || math.abs(a - b) <= tol * math.max(math.abs(a), math.abs(b))
 
   test("kernel scores equal the Spark operator on sampled cuisines for all four models") {
+    import spark.implicits._
     for (region <- Seq("GRC", "USA"); model <- RandomModels.AllModels) {
       val prof = profiles(region)
       val kernel = RandomModels.nullScore(p.universe, prof, model, 1500, seed = 5L)
+      val sample = RandomModels.sampleRows(prof, model, 1500, seed = 5L)
+        .toDF("region", "recipe_id", "ing_id")
       val ref = FoodPairing.cuisineScores(FoodPairing.recipeScores(
-        spark, RandomModels.sample(spark, prof, model, 1500, seed = 5L), p.pairShared)).collect()(0)
+        spark, sample, p.pairShared)).collect()(0)
       val key = s"$region@${model.name}"
       assert(relClose(kernel.ns, ref.getDouble(1)), s"$key N_s ${kernel.ns} vs ${ref.getDouble(1)}")
       assert(relClose(kernel.sigma, ref.getDouble(2)), s"$key sigma ${kernel.sigma} vs ${ref.getDouble(2)}")
@@ -51,11 +54,9 @@ class NullModelKernelSpec extends AnyFunSuite with SparkSpec {
       val b = RandomModels.profile(spark, region, regional, p.ingredients)
       assert(a.region == b.region)
       assert(a.ingredients.toSeq == b.ingredients.toSeq, region)
-      assert(a.frequencies.toSeq == b.frequencies.toSeq, region)
       assert(a.categories.toSeq == b.categories.toSeq, region)
-      assert(a.recipeSizes.toSeq == b.recipeSizes.toSeq, region)
-      assert(a.recipeCategories.map(_.toSeq).toSeq == b.recipeCategories.map(_.toSeq).toSeq, region)
-      assert(a.recipeSizes.length ==
+      assert(a.recipes.map(_.toSeq).toSeq == b.recipes.map(_.toSeq).toSeq, region)
+      assert(a.recipes.length ==
         regional.filter(col("region") === region).select("recipe_id").distinct().count(), region)
     }
   }
@@ -100,8 +101,7 @@ class NullModelKernelSpec extends AnyFunSuite with SparkSpec {
   test("a cuisine of empty-profile additives has sigma_rand = 0 and an undefined Z") {
     val ids = FlavorGen.ProfileFreeAdditives.toArray.map(p.universe.byName(_).id).sorted
     val prof = RandomModels.CuisineProfile(
-      "ADD", ids, ids.map(_ => 3L), ids.map(_ => "Additive"),
-      Array(2, 3, 4), Array(2, 3, 4).map(n => Array.fill(n)("Additive")))
+      "ADD", ids, ids.map(_ => "Additive"), Array(2, 3, 4).map(n => Array.range(0, n)))
     for (model <- RandomModels.AllModels) {
       val s = RandomModels.nullScore(p.universe, prof, model, 500)
       assert(s.ns == 0.0 && s.sigma == 0.0 && s.n == 500, model.name)

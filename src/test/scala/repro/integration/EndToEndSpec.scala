@@ -2,10 +2,9 @@ package repro.integration
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestPipeline}
 import repro.data.Regions
 import repro.exp.Experiments
-import repro.pipeline.Pipeline
 
 /** Full-scale integration: the complete corpus (45,772 recipes) flows
   * through phrase synthesis → aliasing → analysis, and the headline
@@ -13,7 +12,7 @@ import repro.pipeline.Pipeline
   */
 class EndToEndSpec extends AnyFunSuite with SparkSpec {
 
-  private lazy val p = Pipeline.get(spark, scale = 1.0)
+  private lazy val p = TestPipeline.get(spark, scale = 1.0)
 
   // CAN/SEA are the weakest positive plants, KOR/EE the weakest negative.
   private val PairingRegions = Vector("ITA", "CAN", "SEA", "SCND", "KOR", "EE")

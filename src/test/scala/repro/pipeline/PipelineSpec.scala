@@ -13,7 +13,7 @@ class PipelineSpec extends AnyFunSuite with SparkSpec {
 
   private lazy val p = TestPipeline.get(spark)
 
-  test("pipeline instances are cached per (scale, seed)") {
+  test("pipeline instances are cached per (session, scale)") {
     assert(TestPipeline.get(spark) eq p)
   }
 
